@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -28,6 +27,7 @@ import (
 
 	"specml/internal/front"
 	"specml/internal/obs"
+	"specml/internal/serve"
 )
 
 func main() {
@@ -85,7 +85,7 @@ func main() {
 		fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: f.Handler()}
+	httpSrv := serve.NewHTTPServer(*addr, f.Handler())
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	errc := make(chan error, 1)

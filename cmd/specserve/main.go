@@ -95,7 +95,7 @@ func main() {
 		logger.Info("loaded model", "model", m.Name, "in", m.InputLen, "out", m.OutputLen,
 			"params", m.Params, "precision", m.Precision)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := serve.NewHTTPServer(*addr, srv.Handler())
 
 	if *pprofAddr != "" {
 		// Profiling stays off the API listener so it is never exposed by
@@ -107,7 +107,7 @@ func main() {
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, pm); err != nil {
+			if err := serve.NewHTTPServer(*pprofAddr, pm).ListenAndServe(); err != nil {
 				logger.Error("pprof listener failed", "err", err)
 			}
 		}()

@@ -6,8 +6,6 @@ import (
 	"io"
 	"math"
 	"os"
-
-	"specml/internal/rng"
 )
 
 // OptimizerState is a serializable snapshot of an optimizer's per-parameter
@@ -207,18 +205,20 @@ func SaveCheckpoint(w io.Writer, ck *Checkpoint) error {
 	return json.NewEncoder(w).Encode(&sc)
 }
 
-// loadWeights rebuilds a model from specs and copies saved weight tensors in.
+// loadWeights rebuilds a model from decoded specs and copies saved weight
+// tensors in: the shared tail of Load and LoadCheckpoint.
 func loadWeights(specs []LayerSpec, inputShape []int, weights [][]float64) (*Model, error) {
-	m, err := FromSpecs(specs)
-	if err != nil {
-		return nil, err
+	carried := 0
+	for _, w := range weights {
+		carried += len(w)
 	}
-	if err := m.Build(rng.New(0), inputShape...); err != nil {
+	m, err := buildChecked(specs, inputShape, carried)
+	if err != nil {
 		return nil, err
 	}
 	params := m.Params()
 	if len(params) != len(weights) {
-		return nil, fmt.Errorf("nn: checkpoint has %d weight tensors, architecture needs %d",
+		return nil, fmt.Errorf("nn: saved model has %d weight tensors, architecture needs %d",
 			len(weights), len(params))
 	}
 	for i, p := range params {

@@ -61,6 +61,11 @@ func (m *Model) Build(src *rng.Source, inputShape ...int) error {
 	if shapeLen(shape) == 0 {
 		return fmt.Errorf("nn: empty input shape %v", inputShape)
 	}
+	for _, d := range shape {
+		if d <= 0 {
+			return fmt.Errorf("nn: non-positive input dimension in %v", inputShape)
+		}
+	}
 	for i, l := range m.layers {
 		out, err := l.Build(src, shape)
 		if err != nil {
@@ -296,19 +301,8 @@ func (m *Model) PredictBatch(x [][]float64, workers int) ([][]float64, error) {
 	for i, row := range x {
 		copy(xb[i*inLen:(i+1)*inLen], row)
 	}
-	runShard := func(mm *Model, lo, hi int) {
-		mm.SetTraining(false)
-		mm.setInference(true)
-		yb := mm.forwardBatch(xb[lo*inLen:hi*inLen], hi-lo)
-		mm.setInference(false)
-		for s := lo; s < hi; s++ {
-			res := make([]float64, outLen)
-			copy(res, yb[(s-lo)*outLen:(s-lo+1)*outLen])
-			out[s] = res
-		}
-	}
 	if w == 1 {
-		runShard(m, 0, len(x))
+		predictShard(m, xb, out, inLen, outLen, 0, len(x))
 		return out, nil
 	}
 	reps, err := m.acquireReplicas(w)
@@ -319,7 +313,7 @@ func (m *Model) PredictBatch(x [][]float64, workers int) ([][]float64, error) {
 	err = parallel.For(w, w, func(_, shard int) error {
 		lo, hi := shard*len(x)/w, (shard+1)*len(x)/w
 		if lo < hi {
-			runShard(reps[shard], lo, hi)
+			predictShard(reps[shard], xb, out, inLen, outLen, lo, hi)
 		}
 		return nil
 	})
@@ -327,6 +321,22 @@ func (m *Model) PredictBatch(x [][]float64, workers int) ([][]float64, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// predictShard runs samples lo..hi of the flattened input block xb through
+// mm and stores a fresh copy of each output row in out. It is a plain
+// function rather than a closure so the single-worker path allocates
+// nothing but the returned rows.
+func predictShard(mm *Model, xb []float64, out [][]float64, inLen, outLen, lo, hi int) {
+	mm.SetTraining(false)
+	mm.setInference(true)
+	yb := mm.forwardBatch(xb[lo*inLen:hi*inLen], hi-lo)
+	mm.setInference(false)
+	for s := lo; s < hi; s++ {
+		res := make([]float64, outLen)
+		copy(res, yb[(s-lo)*outLen:(s-lo+1)*outLen])
+		out[s] = res
+	}
 }
 
 // CopyParamsFrom copies parameter values from other, which must have an

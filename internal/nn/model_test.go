@@ -54,6 +54,9 @@ func TestModelBuildErrors(t *testing.T) {
 	if err := m3.Build(rng.New(1), 4); err == nil {
 		t.Fatal("double Build must error")
 	}
+	if err := NewModel().Add(NewFlatten()).Build(rng.New(1), -5); err == nil {
+		t.Fatal("negative input dimension must not build")
+	}
 }
 
 func TestModelForwardBeforeBuildPanics(t *testing.T) {
@@ -291,5 +294,39 @@ func TestDropoutTrainingVsInference(t *testing.T) {
 	}
 	if zeros == 0 || zeros == len(out) {
 		t.Fatalf("dropout dropped %d/100, expected ~50", zeros)
+	}
+}
+
+// TestPredictBatchTable1SteadyStateAllocs pins the README's zero
+// steady-state allocation promise on the serving path: a batch-2 Table-1
+// PredictBatch allocates only what it returns — the outer slice and one
+// row per sample. Layer batch buffers, im2col scratch and the packed GEMM
+// panels are all reused from the first call on.
+func TestPredictBatchTable1SteadyStateAllocs(t *testing.T) {
+	m := buildModel(t, 1, []int{199},
+		NewReshape(199, 1),
+		NewConv1D(25, 20, 1), NewActivation(SELU),
+		NewConv1D(25, 20, 3), NewActivation(SELU),
+		NewConv1D(25, 15, 2), NewActivation(SELU),
+		NewConv1D(15, 15, 4), NewSoftmax(),
+		NewFlatten(), NewDense(8), NewSoftmax())
+	src := rng.New(5)
+	x := make([][]float64, 2)
+	for i := range x {
+		x[i] = make([]float64, 199)
+		for j := range x[i] {
+			x[i][j] = src.Uniform(0, 1)
+		}
+	}
+	if _, err := m.PredictBatch(x, 1); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := m.PredictBatch(x, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(1 + len(x)); got != want {
+		t.Fatalf("PredictBatch allocates %v times per call, want %v (the returned rows)", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"specml/internal/rng"
 	"specml/internal/tensor"
 )
 
@@ -100,11 +99,15 @@ func LoadQuantized(r io.Reader) (*QuantizedModel, error) {
 	if sm.Format != quantFormat {
 		return nil, fmt.Errorf("nn: unsupported quantized model format %q", sm.Format)
 	}
-	m, err := FromSpecs(sm.Layers)
-	if err != nil {
-		return nil, err
+	carried := 0 // every parameter is stored once: as a code, a bias or a float
+	for _, e := range sm.Quant {
+		carried += len(e.Weights) + len(e.Bias)
 	}
-	if err := m.Build(rng.New(0), sm.InputShape...); err != nil {
+	for _, w := range sm.FloatWeights {
+		carried += len(w)
+	}
+	m, err := buildChecked(sm.Layers, sm.InputShape, carried)
+	if err != nil {
 		return nil, err
 	}
 	m.SetTraining(false)

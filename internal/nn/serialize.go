@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"specml/internal/rng"
 )
 
 // LayerSpec is a serializable, weight-free description of one layer. It is
@@ -121,7 +119,8 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads a model saved with Save and returns it built and ready for
-// inference or further training.
+// inference or further training. The architecture is validated against
+// the weights the body carries before anything is allocated for it.
 func Load(r io.Reader) (*Model, error) {
 	var sm savedModel
 	if err := json.NewDecoder(r).Decode(&sm); err != nil {
@@ -130,24 +129,5 @@ func Load(r io.Reader) (*Model, error) {
 	if sm.Format != modelFormat {
 		return nil, fmt.Errorf("nn: unsupported model format %q", sm.Format)
 	}
-	m, err := FromSpecs(sm.Layers)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Build(rng.New(0), sm.InputShape...); err != nil {
-		return nil, err
-	}
-	params := m.Params()
-	if len(params) != len(sm.Weights) {
-		return nil, fmt.Errorf("nn: saved model has %d weight tensors, architecture needs %d",
-			len(sm.Weights), len(params))
-	}
-	for i, p := range params {
-		if len(p.Data) != len(sm.Weights[i]) {
-			return nil, fmt.Errorf("nn: weight tensor %d has %d values, want %d",
-				i, len(sm.Weights[i]), len(p.Data))
-		}
-		copy(p.Data, sm.Weights[i])
-	}
-	return m, nil
+	return loadWeights(sm.Layers, sm.InputShape, sm.Weights)
 }

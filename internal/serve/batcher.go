@@ -30,9 +30,11 @@ type response struct {
 // coalesced into one PredictBatch forward pass. A batch is flushed when it
 // reaches MaxBatch requests or when Window has elapsed since the batch's
 // first request, whichever comes first — the classic latency/throughput
-// trade of an online inference server, here amortizing the per-call replica
-// setup of the worker pool across every request that arrives inside the
-// window.
+// trade of an online inference server. Backends run PredictBatch on one
+// worker, so what a batch amortizes is per-forward work that does not grow
+// with the row count: packing each weight matrix into GEMM panels and
+// streaming the weights through the cache once for all the rows instead of
+// once per request.
 //
 // The run function receives the coalesced inputs in arrival order and must
 // return one output per input. Because nn.Model.PredictBatch is

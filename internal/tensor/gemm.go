@@ -13,7 +13,10 @@ import "fmt"
 //
 // The kernels are written for the shapes the nn hot paths produce: A is a
 // large activation (or im2col) block streamed row by row, B is a parameter
-// matrix small enough to stay cache-resident across A's rows.
+// matrix small enough to stay cache-resident across A's rows. On amd64
+// hosts with AVX2 they dispatch to the vector kernels of gemm_amd64.s,
+// which keep the same per-element contract; the scalar kernels below are
+// the fallback and the reference those kernels are tested against.
 
 // gemmKC is the k-tile size of Gemm: one B tile of gemmKC rows is reused
 // across a whole stripe of A rows before the next tile is touched, keeping
@@ -29,6 +32,12 @@ func Gemm(c, a, b []float64, m, n, k int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
+	gemm(c, a, b, m, n, k)
+}
+
+// gemmGeneric is the portable scalar Gemm: the only implementation off
+// amd64 and the SPECML_NOASM fallback on it.
+func gemmGeneric(c, a, b []float64, m, n, k int) {
 	// k-tiles ascending: element (i,j) receives its p-contributions in
 	// ascending p order across tiles because C persists between tiles.
 	for p0 := 0; p0 < k; p0 += gemmKC {
@@ -62,8 +71,7 @@ func Gemm(c, a, b []float64, m, n, k int) {
 // ascending k order starting from the incoming C value. This is the layout
 // of every forward kernel in internal/nn (weights are stored row-major
 // [out][in], i.e. already transposed for the dot-product form), and of the
-// im2col convolution lowering. B rows are register-blocked four at a time
-// so each loaded A element feeds four accumulators.
+// im2col convolution lowering.
 func GemmNT(c, a, b []float64, m, n, k int) {
 	if len(a) != m*k || len(b) != n*k || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: GemmNT dimension mismatch (a %d, b %d, c %d for m=%d n=%d k=%d)",
@@ -72,6 +80,12 @@ func GemmNT(c, a, b []float64, m, n, k int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
+	gemmNT(c, a, b, m, n, k)
+}
+
+// gemmNTGeneric is the portable scalar GemmNT. B rows are register-blocked
+// four at a time so each loaded A element feeds four accumulators.
+func gemmNTGeneric(c, a, b []float64, m, n, k int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
@@ -114,6 +128,11 @@ func GemmTN(c, a, b []float64, m, n, k int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
+	gemmTN(c, a, b, m, n, k)
+}
+
+// gemmTNGeneric is the portable scalar GemmTN.
+func gemmTNGeneric(c, a, b []float64, m, n, k int) {
 	for p := 0; p < k; p++ {
 		arow := a[p*m : (p+1)*m]
 		brow := b[p*n : (p+1)*n]

@@ -76,3 +76,64 @@ func BenchmarkIm2Col(b *testing.B) {
 		Im2Col(dst, x, inLen, inCh, kernel, stride, outLen)
 	}
 }
+
+// table1GemmShapes are the four Table-1 conv layers lowered by im2col at
+// batch 2 — the coalesced batch size of the fleet-predict benchmark —
+// named after their layer index in the model (rows = 2 x output
+// positions, n = filters, k = kernel x input channels).
+var table1GemmShapes = []struct {
+	name    string
+	m, n, k int
+}{
+	{"L1", 360, 25, 20},
+	{"L3", 108, 25, 500},
+	{"L5", 40, 25, 375},
+	{"L7", 4, 15, 375},
+}
+
+// BenchmarkGemmNTTable1 pairs the dispatching GemmNT (the AVX2 packed
+// kernel on an AVX2 host unless SPECML_NOASM is set) with the scalar
+// kernel on each Table-1 conv shape.
+func BenchmarkGemmNTTable1(b *testing.B) {
+	for _, s := range table1GemmShapes {
+		am, bm, cm := benchMats(s.m, s.n, s.k)
+		for _, impl := range []struct {
+			name string
+			f    func(c, a, b []float64, m, n, k int)
+		}{{"asm", GemmNT}, {"scalar", gemmNTGeneric}} {
+			b.Run(s.name+"/impl="+impl.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					impl.f(cm, am, bm, s.m, s.n, s.k)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkGemmTable1Backward pairs the dispatching Gemm and GemmTN with
+// their scalar kernels on the backward GEMMs of the Table-1 L3 conv layer
+// at batch 2: the input gradient dCol += dY·W (m=108 rows, n=500 fan-in,
+// k=25 filters) and the weight gradient dW += dYᵀ·Col (m=25, n=500,
+// k=108).
+func BenchmarkGemmTable1Backward(b *testing.B) {
+	for _, impl := range []struct {
+		name   string
+		nn, tn func(c, a, b []float64, m, n, k int)
+	}{{"asm", Gemm, GemmTN}, {"scalar", gemmGeneric, gemmTNGeneric}} {
+		am, bm, cm := benchMats(108, 500, 25)
+		b.Run("L3/gemm/impl="+impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.nn(cm, am, bm, 108, 500, 25)
+			}
+		})
+		am, bm, cm = benchMats(25, 500, 108)
+		b.Run("L3/gemmTN/impl="+impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.tn(cm, am, bm, 25, 500, 108)
+			}
+		})
+	}
+}

@@ -242,3 +242,15 @@ func TestCol2ImAccumulates(t *testing.T) {
 		}
 	}
 }
+
+// TestGemmNTSteadyStateZeroAllocs pins the zero-allocation promise of the
+// batched forward on the packed GemmNT path: the packed-B block comes from
+// a pool, and the partial-panel C staging lives on the stack.
+func TestGemmNTSteadyStateZeroAllocs(t *testing.T) {
+	m, n, k := 108, 25, 500 // Table-1 L3 conv at batch 2: partial last panel
+	a, b, c := benchMats(m, n, k)
+	GemmNT(c, a, b, m, n, k) // warm the pool
+	if got := testing.AllocsPerRun(20, func() { GemmNT(c, a, b, m, n, k) }); got != 0 {
+		t.Fatalf("GemmNT allocates %v times per call, want 0", got)
+	}
+}

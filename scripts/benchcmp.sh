@@ -32,12 +32,15 @@ Suites:
            (1 front + 3 backends over loopback), and
            BatcherPredictMonitor (recurrent monitor
            stack through the batched dispatcher)
-  kernels  GemmInt8NTConvLowered, the int8-vs-float -> BENCH_kernels.json
-           batch-32 forward pairs (QuantForward* vs
-           BatchForward*), and the batched recurrent
-           engine (LSTMBatchForward32, LSTMFitEpoch);
-           gates the int8 kernel, the float path it is
-           compared against, and the GEMM LSTM path
+  kernels  GemmInt8NTConvLowered, the AVX2-vs-scalar -> BENCH_kernels.json
+           float GEMM pairs on the Table-1 conv shapes
+           (GemmNTTable1, GemmTable1Backward), the
+           int8-vs-float batch-32 forward pairs
+           (QuantForward* vs BatchForward*), and the
+           batched recurrent engine (LSTMBatchForward32,
+           LSTMFitEpoch); gates the int8 and float
+           kernels, the scalar fallback, and the GEMM
+           LSTM path
   train    TrainCorpus{Materialized,Streamed}: the  -> BENCH_train.json
            classic generate-then-Fit flow vs the fused
            streaming pipeline on the identical corpus;
@@ -122,14 +125,20 @@ serve)
 kernels)
     BASELINE="BENCH_kernels.json"
     BENCH_CMDS=(
-        "go test -run ^\$ -bench GemmInt8NTConvLowered -benchtime 1s -cpu 1 ./internal/tensor"
+        "go test -run ^\$ -bench GemmInt8NTConvLowered|GemmNTTable1|GemmTable1Backward -benchtime 1s -cpu 1 ./internal/tensor"
         "go test -run ^\$ -bench QuantForwardDense32|QuantForwardConv32|BatchForwardDense32\$|BatchForwardConv32\$|LSTMBatchForward32\$|LSTMFitEpoch -benchtime 1s -cpu 1 ./internal/nn"
     )
     NAMES="BenchmarkGemmInt8NTConvLowered \
+           BenchmarkGemmNTTable1/L1/impl=asm BenchmarkGemmNTTable1/L1/impl=scalar \
+           BenchmarkGemmNTTable1/L3/impl=asm BenchmarkGemmNTTable1/L3/impl=scalar \
+           BenchmarkGemmNTTable1/L5/impl=asm BenchmarkGemmNTTable1/L5/impl=scalar \
+           BenchmarkGemmNTTable1/L7/impl=asm BenchmarkGemmNTTable1/L7/impl=scalar \
+           BenchmarkGemmTable1Backward/L3/gemm/impl=asm BenchmarkGemmTable1Backward/L3/gemm/impl=scalar \
+           BenchmarkGemmTable1Backward/L3/gemmTN/impl=asm BenchmarkGemmTable1Backward/L3/gemmTN/impl=scalar \
            BenchmarkQuantForwardDense32 BenchmarkQuantForwardConv32 \
            BenchmarkBatchForwardDense32 BenchmarkBatchForwardConv32 \
            BenchmarkLSTMBatchForward32 BenchmarkLSTMFitEpoch"
-    REGEN="go test -run '^\$' -bench 'Gemm|Im2Col|Quantize' -benchtime 2s -cpu 1 ./internal/tensor && go test -run '^\$' -bench 'BatchForward|QuantForward|PredictBatch32|FitEpoch|LSTM' -benchtime 2s -cpu 1 ./internal/nn"
+    REGEN="go test -count 3 -run '^\$' -bench 'Gemm|Im2Col|QuantizeRow' -benchtime 1s -benchmem -cpu 1 ./internal/tensor && go test -count 3 -run '^\$' -bench 'BatchForward|QuantForward|PredictBatch32|FitEpoch|LSTM' -benchtime 1s -benchmem -cpu 1 ./internal/nn  # median of the 3 counts"
     ;;
 train)
     BASELINE="BENCH_train.json"
